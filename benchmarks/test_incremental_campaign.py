@@ -22,8 +22,10 @@ result store closing that loop on the synthetic fleet:
 """
 
 import os
+import platform
 import shutil
 import time
+from statistics import median, quantiles
 
 from benchmarks.conftest import emit
 from benchmarks.test_large_campaign import BATCH, FLEET_NODES, PINNED_TS
@@ -57,10 +59,30 @@ WORKERS = 8
 WARM_SPEEDUP_TARGET = 10.0
 WARM_SPEEDUP_FLOOR = 2.0
 DELTA_CEILING = 0.05
+#: cold/warm pairs behind the committed medians and spreads
+REPEATS = 5
 #: fault/retry seeds the delta stage sweeps (each seed is its own
 #: store: the fault plan's seed is part of the content address)
 SEEDS = (0, 3)
 FAULT_SPEC = "build:0.02"
+
+
+def _spread(values):
+    """Interquartile range over the median (the run-to-run noise)."""
+    q1, _, q3 = quantiles(values, n=4, method="inclusive")
+    return (q3 - q1) / median(values)
+
+
+def _rounded(values):
+    return [round(v, 1) for v in values]
+
+
+def _host():
+    return {
+        "nproc": os.cpu_count(),
+        "python": platform.python_version(),
+        "platform": platform.platform(),
+    }
 
 
 def inc_site() -> SiteConfig:
@@ -101,6 +123,7 @@ def inc_class(index: int, rev: str = "r0"):
     """
 
     class IncProbe(RegressionTest):
+        valid_prog_environs = list(ENVIRONS)
         point = parameter(list(range(POINTS)))
         scale = float(index)
         rev_tag = rev
@@ -208,22 +231,32 @@ def regenerate(tmpdir):
     out = {"seeds": {}}
 
     # -- stage 1+2: cold then zero-edit warm (seed 0, no faults) ----------
-    store = os.path.join(tmpdir, "store-main")
-    cold_dir = os.path.join(tmpdir, "cold")
-    cold_rate, cold_s, cold_rep = run_incremental(store, cold_dir,
-                                                  site=site)
-    assert cold_rep.success
-    assert cold_rep.result_cache["puts"] == CASES
+    # REPEATS pairs, each on a fresh store: the committed rates are
+    # medians over the pairs and carry their raw vectors
+    out["cold"], out["warm"] = [], []
+    for rep in range(REPEATS):
+        store = os.path.join(tmpdir, f"store-main{rep}")
+        cold_dir = os.path.join(tmpdir, f"cold{rep}")
+        cold_rate, cold_s, cold_rep = run_incremental(store, cold_dir,
+                                                      site=site)
+        assert cold_rep.success
+        # every case really runs: a skipped case would store and replay
+        # a skip, and the bench would time skipping
+        assert len(cold_rep.passed) == CASES
+        assert cold_rep.result_cache["puts"] == CASES
 
-    warm_dir = os.path.join(tmpdir, "warm0")
-    warm_rate, warm_s, warm_rep = run_incremental(store, warm_dir,
-                                                  site=site)
-    assert warm_rep.success
-    out["cold"] = (cold_rate, cold_s, cold_rep.result_cache)
-    out["warm"] = (warm_rate, warm_s, warm_rep.result_cache,
-                   len(warm_rep.replayed))
-    out["cold_artifacts"] = read_artifacts(cold_dir)
-    out["warm_artifacts"] = read_artifacts(warm_dir)
+        warm_dir = os.path.join(tmpdir, f"warm{rep}")
+        warm_rate, warm_s, warm_rep = run_incremental(store, warm_dir,
+                                                      site=site)
+        assert warm_rep.success
+        out["cold"].append((cold_rate, cold_s, cold_rep.result_cache))
+        out["warm"].append((warm_rate, warm_s, warm_rep.result_cache,
+                            len(warm_rep.replayed)))
+        if rep == 0:
+            out["cold_artifacts"] = read_artifacts(cold_dir)
+            out["warm_artifacts"] = read_artifacts(warm_dir)
+        for path in (store, cold_dir, warm_dir):
+            shutil.rmtree(path)
 
     # -- stage 3: 1% delta, three policies, seed-swept --------------------
     try:
@@ -281,22 +314,29 @@ def test_incremental_campaign(once, tmp_path):
     res = once(regenerate, str(tmp_path))
 
     # ---- zero-edit warm: 100% hits, >= 10x ------------------------------
-    cold_rate, cold_s, cold_stats = res["cold"]
-    warm_rate, warm_s, warm_stats, n_replayed = res["warm"]
-    speedup = cold_s / warm_s
+    cold_rates = [rate for rate, _, _ in res["cold"]]
+    cold_secs = [secs for _, secs, _ in res["cold"]]
+    warm_rates = [rate for rate, _, _, _ in res["warm"]]
+    warm_secs = [secs for _, secs, _, _ in res["warm"]]
+    speedups = [c / w for c, w in zip(cold_secs, warm_secs)]
+    cold_rate, cold_s = median(cold_rates), median(cold_secs)
+    warm_rate, warm_s = median(warm_rates), median(warm_secs)
+    speedup = median(speedups)
     emit(
-        "Incremental campaign: 5k cases, content-addressed result store",
+        f"Incremental campaign: 5k cases, content-addressed result store "
+        f"(median of {REPEATS})",
         f"cold   : {cold_s:6.2f} s  ({cold_rate:7.0f} cases/s, "
-        f"{cold_stats['puts']} entries stored)\n"
+        f"spread {_spread(cold_rates):.3f})\n"
         f"warm   : {warm_s:6.2f} s  ({warm_rate:7.0f} cases/s, "
-        f"hit rate {100 * warm_stats['hit_rate']:.1f}%)\n"
+        f"spread {_spread(warm_rates):.3f})\n"
         f"speedup: {speedup:.1f}x (floor {WARM_SPEEDUP_FLOOR:.0f}x, "
         f"target {WARM_SPEEDUP_TARGET:.0f}x)",
     )
-    assert n_replayed == CASES
-    assert warm_stats["hits"] == CASES and warm_stats["misses"] == 0
-    assert speedup >= WARM_SPEEDUP_FLOOR, (
-        f"warm replay is only {speedup:.1f}x faster than cold"
+    for _, _, warm_stats, n_replayed in res["warm"]:
+        assert n_replayed == CASES
+        assert warm_stats["hits"] == CASES and warm_stats["misses"] == 0
+    assert min(speedups) >= WARM_SPEEDUP_FLOOR, (
+        f"warm replay is only {min(speedups):.1f}x faster than cold"
     )
     # the hard gate: warm artifacts byte-identical to cold (perflogs
     # exactly; trace spans modulo the replayed annotation)
@@ -334,11 +374,20 @@ def test_incremental_campaign(once, tmp_path):
     _update_baseline(
         incremental_cases=CASES,
         incremental_classes=N_CLASSES,
+        incremental_repeats=REPEATS,
+        incremental_host=_host(),
         incremental_cold_seconds=round(cold_s, 2),
         incremental_cold_cases_per_second=round(cold_rate, 1),
+        incremental_cold_cases_per_second_runs=_rounded(cold_rates),
+        incremental_cold_cases_per_second_spread=round(
+            _spread(cold_rates), 3),
         incremental_warm_seconds=round(warm_s, 2),
         incremental_warm_cases_per_second=round(warm_rate, 1),
+        incremental_warm_cases_per_second_runs=_rounded(warm_rates),
+        incremental_warm_cases_per_second_spread=round(
+            _spread(warm_rates), 3),
         incremental_warm_speedup=round(speedup, 1),
+        incremental_warm_speedup_runs=_rounded(speedups),
         incremental_warm_speedup_target=WARM_SPEEDUP_TARGET,
         incremental_environs=N_ENV,
         incremental_delta_fraction=POINTS * N_ENV / CASES,

@@ -558,8 +558,9 @@ class Executor:
                 speculation=speculation,
                 drain_after=drain_after,
             )
-            # composite keys are computed up front (cheap: sha256 over
-            # sorted-key JSON, source hashes memoized per class) so the
+            # composite keys are computed up front (sha256 over sorted-key
+            # JSON; a test class's source hash is computed once per class
+            # object, reading each source file with one parse) so the
             # campaign's run id -- the ``cached_from`` provenance marker
             # -- is itself deterministic content: the hash of every
             # case's content address, independent of policy and order

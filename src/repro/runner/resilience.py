@@ -32,13 +32,17 @@ byte-identical to a fault-free serial run.
 
 from __future__ import annotations
 
+import ast
 import hashlib
 import inspect
 import json
+import linecache
 import os
+import sys
 import threading
+import weakref
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, Optional, Union
+from typing import Any, Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.faults import FaultClock, InjectedFault, unit_hash
 from repro.obs.jsonl import JsonlAppender, read_jsonl, write_jsonl_atomic
@@ -383,8 +387,99 @@ def case_fingerprint(case: Any) -> str:
 
 
 #: source-hash memo: a campaign hashes each benchmark class once, not
-#: once per case (the sweep benches expand thousands of cases per class)
-_SOURCE_HASH_CACHE: Dict[type, str] = {}
+#: once per case (the sweep benches expand thousands of cases per class).
+#: Weakly keyed: factory-built classes (a fresh set per campaign in the
+#: fleet supervisor and the sweep benches) must not outlive their campaign
+_SOURCE_HASH_CACHE: "weakref.WeakKeyDictionary[type, str]" = (
+    weakref.WeakKeyDictionary()
+)
+
+#: Python >= 3.13 records where a class statement starts in
+#: ``__firstlineno__``, and ``inspect`` locates class source by it
+#: instead of searching the parsed module
+_BY_FIRSTLINENO = sys.version_info >= (3, 13)
+
+#: per source file: ``(lines, class qualname -> first line, first line ->
+#: block text)``.  ``lines`` is the very list ``linecache`` serves; a stat
+#: change makes ``linecache.checkcache`` drop it, so the identity test in
+#: :func:`_class_source` re-parses exactly when ``inspect`` re-reads
+_SOURCE_FILES: Dict[str, Tuple[List[str], Dict[str, int], Dict[int, str]]] = {}
+
+
+def _class_starts(tree: ast.AST) -> Dict[str, int]:
+    """Every class qualname in ``tree`` -> its 0-based first line.
+
+    The rule of ``inspect._ClassFinder``: a function scope adds
+    ``<locals>``, a decorated class starts at its first decorator, and
+    of several classes with one qualname the first visited wins.
+    """
+    starts: Dict[str, int] = {}
+
+    def walk(node: ast.AST, scope: Tuple[str, ...]) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                walk(child, scope + (child.name, "<locals>"))
+            elif isinstance(child, ast.ClassDef):
+                inner = scope + (child.name,)
+                first = (child.decorator_list or [child])[0]
+                starts.setdefault(".".join(inner), first.lineno - 1)
+                walk(child, inner)
+            else:
+                walk(child, scope)
+
+    walk(tree, ())
+    return starts
+
+
+def _class_source(klass: type) -> str:
+    """``inspect.getsource(klass)``, parsing each source file once.
+
+    Same text, or the same ``OSError``/``TypeError``, as ``inspect``;
+    but where ``inspect`` (Python <= 3.12) re-parses the whole module for
+    every class it is asked about, this parses a file once per content
+    seen by ``linecache`` and tokenizes each class block once.
+    """
+    if hasattr(klass, "__wrapped__"):
+        # inspect unwraps first, which may leave the class path entirely
+        return inspect.getsource(klass)
+    file = inspect.getsourcefile(klass)
+    if file:
+        linecache.checkcache(file)
+    else:
+        file = inspect.getfile(klass)
+        if not (file.startswith("<") and file.endswith(">")):
+            raise OSError("source code not available")
+    module = inspect.getmodule(klass, file)
+    if module:
+        lines = linecache.getlines(file, module.__dict__)
+    else:
+        lines = linecache.getlines(file)
+    if not lines:
+        raise OSError("could not get source code")
+    memo = _SOURCE_FILES.get(file)
+    if memo is None or memo[0] is not lines:
+        starts = {} if _BY_FIRSTLINENO else _class_starts(
+            ast.parse("".join(lines))
+        )
+        memo = _SOURCE_FILES[file] = (lines, starts, {})
+    _, starts, blocks = memo
+    if _BY_FIRSTLINENO:
+        try:
+            lnum = vars(klass)["__firstlineno__"] - 1
+        except (TypeError, KeyError):
+            raise OSError("source code not available")
+        if lnum >= len(lines):
+            raise OSError("lineno is out of bounds")
+    else:
+        try:
+            lnum = starts[klass.__qualname__]
+        except KeyError:
+            raise OSError("could not find class definition")
+    text = blocks.get(lnum)
+    if text is None:
+        text = blocks[lnum] = "".join(inspect.getblock(lines[lnum:]))
+    return text
+
 
 #: JSON-able class attributes folded into the source hash.  Factory-made
 #: classes (the sweep benches build them with ``type()``/``setattr``)
@@ -412,7 +507,7 @@ def benchmark_source_hash(cls: type) -> str:
         if klass is object:
             continue
         try:
-            parts.append(inspect.getsource(klass))
+            parts.append(_class_source(klass))
         except (OSError, TypeError):
             parts.append(f"<no-source:{klass.__module__}.{klass.__qualname__}>")
         for name, value in sorted(vars(klass).items()):

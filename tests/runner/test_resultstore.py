@@ -7,16 +7,25 @@ Key stability across process restarts and dict orderings is
 hypothesis-tested; torn entries and eviction are tolerated, never fatal.
 """
 
+import ast
+import gc
+import importlib
+import inspect
 import json
 import os
+import pkgutil
 import subprocess
 import sys
+import weakref
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro
+from perfbench import probe
 from repro.faults import FaultPlan
+from repro.runner import resilience
 from repro.runner import sanity as sn
 from repro.runner.benchmark import RegressionTest, SpackTest
 from repro.runner.cli import main as bench_main
@@ -24,9 +33,11 @@ from repro.runner.config import default_site_config
 from repro.runner.executor import Executor
 from repro.runner.fields import parameter, variable
 from repro.runner.resilience import (
+    _BY_FIRSTLINENO,
     _SOURCE_HASH_CACHE,
     CampaignJournal,
     RetryPolicy,
+    _class_source,
     benchmark_source_hash,
     case_fingerprint,
     content_address,
@@ -200,6 +211,177 @@ def test_source_hash_sees_factory_attrs():
 
     a, b = factory("x"), factory("y")
     assert benchmark_source_hash(a) != benchmark_source_hash(b)
+
+
+# --------------------------------------------------------------------------
+# source text: _class_source against inspect.getsource (the oracle)
+# --------------------------------------------------------------------------
+
+#: the class shapes ``inspect`` resolves by its own rules: a nested class
+#: in a function scope (``<locals>``), decorated classes (source starts at
+#: the first decorator), a rebound top-level name (the first definition
+#: wins) and factory classes whose ``__qualname__`` was renamed
+FIXTURE_SOURCE = """\
+def tagged(cls):
+    return cls
+
+
+class Dup:
+    first = True
+
+
+@tagged
+@tagged
+class Decorated:
+    @tagged
+    class Inner:
+        pass
+
+    def nested(self):
+        class InMethod:
+            pass
+        return InMethod
+
+
+def factory():
+    class Local:
+        def method(self):
+            return 1
+    return Local
+
+
+class Dup:
+    first = False
+
+
+def renamed(index, qualname=None):
+    class Made(Decorated):
+        pass
+    Made.__name__ = Made.__qualname__ = qualname or f"Made{index:03d}"
+    return Made
+"""
+
+
+def _outcome(get_source, klass):
+    """The source text, or the type of the exception raised instead."""
+    try:
+        return get_source(klass)
+    except Exception as exc:
+        return type(exc)
+
+
+def _closure(classes):
+    """Every class in ``classes``, their nested classes and their MROs."""
+    seen, todo = set(), list(classes)
+    while todo:
+        klass = todo.pop()
+        if klass in seen:
+            continue
+        seen.add(klass)
+        todo.extend(klass.__mro__)
+        todo.extend(v for v in vars(klass).values() if isinstance(v, type))
+    return seen
+
+
+def _import_file(tmp_path, monkeypatch, name, text):
+    (tmp_path / f"{name}.py").write_text(text)
+    monkeypatch.syspath_prepend(str(tmp_path))
+    return importlib.import_module(name)
+
+
+@pytest.fixture
+def fixture_module(tmp_path, monkeypatch):
+    module = _import_file(tmp_path, monkeypatch, "srcfix_shapes",
+                          FIXTURE_SOURCE)
+    yield module
+    sys.modules.pop(module.__name__, None)
+
+
+def test_class_source_matches_inspect_everywhere(fixture_module):
+    """Same text, or the same exception type, for every reachable class."""
+    roots = [probe.make_classes(7, edited=3)]
+    for info in pkgutil.walk_packages(repro.__path__, "repro."):
+        module = importlib.import_module(info.name)
+        roots.append([v for v in vars(module).values() if isinstance(v, type)])
+    m = fixture_module
+    roots.append([
+        m.Dup, m.Decorated, m.Decorated().nested(), m.factory(),
+        m.renamed(1), m.renamed(2, qualname="Decorated.Inner"),
+    ])
+    classes = _closure(k for group in roots for k in group)
+    assert len(classes) > 300
+    for klass in classes:
+        assert _outcome(_class_source, klass) == _outcome(
+            inspect.getsource, klass
+        ), klass
+
+
+def test_class_source_fixture_shapes(fixture_module):
+    """The inspect rules the oracle relies on, spelled out."""
+    m = fixture_module
+    assert _class_source(m.Dup).startswith("class Dup:\n    first = True")
+    assert _class_source(m.Decorated).startswith("@tagged\n@tagged\n")
+    assert _class_source(m.Decorated.Inner).startswith("    @tagged\n")
+    assert "def method" in _class_source(m.factory())
+    assert "class InMethod" in _class_source(m.Decorated().nested())
+    assert _class_source(m.renamed(2, qualname="Decorated.Inner")) == (
+        _class_source(m.Decorated.Inner)
+    )
+    if not _BY_FIRSTLINENO:  # 3.13+ finds a renamed class by line instead
+        with pytest.raises(OSError):
+            _class_source(m.renamed(1))
+
+
+def test_source_hash_parses_each_file_once(monkeypatch):
+    """100 probe classes: one ``ast.parse`` per distinct source file."""
+    classes = probe.make_classes(7)
+    files = {
+        inspect.getsourcefile(k)
+        for cls in classes for k in cls.__mro__ if k is not object
+    }
+    parses = []
+    real_parse = ast.parse
+
+    def counting_parse(*args, **kwargs):
+        parses.append(1)
+        return real_parse(*args, **kwargs)
+
+    monkeypatch.setattr(ast, "parse", counting_parse)
+    monkeypatch.setattr(resilience, "_SOURCE_FILES", {})
+    for cls in classes:
+        benchmark_source_hash(cls)
+    assert len(parses) == (0 if _BY_FIRSTLINENO else len(files))
+
+
+def test_source_edit_on_disk_changes_hash(tmp_path, monkeypatch):
+    """The edit-then-rerun loop inside one long-lived process."""
+    template = (
+        "class Edited:\n"
+        "    def program(self, ctx):\n"
+        "        return {!r}, 1.0\n"
+    )
+    module = _import_file(tmp_path, monkeypatch, "srcfix_edited",
+                          template.format("a"))
+    try:
+        before = benchmark_source_hash(module.Edited)
+        (tmp_path / "srcfix_edited.py").write_text(
+            template.format("a longer output line")
+        )
+        module = importlib.reload(module)
+        assert "a longer output line" in _class_source(module.Edited)
+        assert benchmark_source_hash(module.Edited) != before
+    finally:
+        sys.modules.pop("srcfix_edited", None)
+
+
+def test_source_hash_memo_does_not_keep_classes_alive():
+    cls = type("Transient", (Beta,), {"knob": 1})
+    benchmark_source_hash(cls)
+    assert cls in _SOURCE_HASH_CACHE
+    ref = weakref.ref(cls)
+    del cls
+    gc.collect()
+    assert ref() is None
 
 
 # --------------------------------------------------------------------------
