@@ -50,7 +50,7 @@ slice, leaving leases dangling for a restarted supervisor to reclaim.
 The five *I/O* kinds (``enospc``/``eio``/``torn``/``bitrot``/
 ``fsync-lie``) target durable-artifact operations instead of cases: the
 target is an artifact label (``journal``, ``perflog``, ``trace``,
-``store``, ``pack``, ``index``, ``ingest``) and selection is drawn *per
+``store``, ``index``, ``ingest``) and selection is drawn *per
 operation* via :meth:`FaultPlan.check_io`, not once per target -- a
 storage device does not remember which files it has already eaten.  They
 are routed through :class:`repro.iofaults.FaultyIO` rather than raised at

@@ -2,7 +2,7 @@
 
 ``repro.faults`` makes the *scheduler* lie on command; this module makes
 the *disk* lie.  Every durable artifact the runner produces -- campaign
-journal, trace, perflogs, the case-result store's objects and pack, the
+journal, trace, perflogs, the case-result store's pack and index, the
 postprocess ingest cache -- funnels its raw ``os.open/write/fsync/
 replace`` calls through one :class:`FaultyIO` shim, which consults a
 :class:`repro.faults.FaultPlan` *per operation* (``FaultPlan.check_io``)
@@ -106,7 +106,7 @@ class FaultyIO:
 
     One instance serves a whole campaign; callers tag each operation
     with the *artifact label* (``journal``, ``trace``, ``perflog``,
-    ``store``, ``pack``, ``index``, ``ingest``) that the fault-spec
+    ``store``, ``index``, ``ingest``) that the fault-spec
     globs select on.  With no matching clause armed, every method is a
     thin wrapper over the plain os calls.
     """
@@ -134,11 +134,14 @@ class FaultyIO:
                sync: bool = True) -> None:
         """Append *data* to *path* atomically-or-fail.
 
-        A clean run is open/write/fsync/close.  Injected ``torn`` and
-        ``bitrot`` faults physically write damaged bytes, then roll the
-        file back to its pre-operation size before raising -- the caller
-        sees a failed op against an unchanged file, and the damage only
-        becomes durable through :meth:`lose_unsynced` (simulated crash).
+        A clean run is open/write/fsync/close.  A real short or failed
+        ``write`` truncates the file back to the last newline that
+        landed, so complete earlier lines survive and no torn tail does,
+        then raises.  Injected ``torn`` and ``bitrot`` faults physically
+        write damaged bytes, then roll the file back to its
+        pre-operation size before raising -- the caller sees a failed op
+        against an unchanged file, and the damage only becomes durable
+        through :meth:`lose_unsynced` (simulated crash).
         """
         fault = self._consult(label)
         if fault is not None and fault.kind in ("enospc", "eio"):
@@ -148,7 +151,19 @@ class FaultyIO:
         try:
             pre_size = os.fstat(fd).st_size
             if fault is None:
-                os.write(fd, data)
+                try:
+                    written = os.write(fd, data)
+                    if written < len(data):
+                        raise OSError(
+                            errno.EIO,
+                            f"short write: {written}/{len(data)} bytes",
+                            path,
+                        )
+                except OSError:
+                    # keep the complete lines that landed, drop the rest
+                    landed = data[:max(0, os.fstat(fd).st_size - pre_size)]
+                    os.ftruncate(fd, pre_size + landed.rfind(b"\n") + 1)
+                    raise
                 if sync:
                     os.fsync(fd)
                 return

@@ -3,7 +3,7 @@
 Every artifact the runner writes is self-verifying (DESIGN.md section
 6.6): journal and trace records carry a ``cs`` CRC32 field, perflogs
 grow a ``.sums`` checksum sidecar when chaos injection is armed, and
-result-store objects seal their entries the same way.  This tool is the
+result-store pack lines seal their entries the same way.  This tool is the
 offline complement: it walks an artifact tree, re-verifies every
 checksum, and -- with ``--repair`` -- excises exactly the damaged bytes
 while preserving every intact record::
@@ -22,10 +22,10 @@ What each artifact class gets:
   rebuilds the log from the valid ranges plus any complete uncovered
   tail lines, then regenerates the sidecar.  Without a sidecar only a
   torn (unterminated) tail is healable.
-* **Result store** -- every ``objects/*.json`` entry must verify;
-  repair unlinks damaged objects (a store miss, never wrong data),
-  rebuilds ``pack.jsonl`` from the surviving canonical objects, and
-  filters ``index.json`` down to keys that still exist.
+* **Result store** -- every ``pack.jsonl`` line must decode and verify;
+  repair rewrites the pack with the last verified line per key (a
+  dropped line is a store miss, never wrong data) and rebuilds
+  ``index.json`` from the surviving entries' fingerprints.
 
 Exit status: 0 when everything verifies (or every problem was healed),
 1 when damage was found (check mode) or remains (repair mode), 2 on
@@ -43,7 +43,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.obs.jsonl import scan_jsonl, write_jsonl_atomic
 from repro.runner.perflog import sums_path, verify_sums
-from repro.runner.results import _verify_entry
+from repro.runner.results import CaseResultStore
 
 __all__ = [
     "main", "fsck_jsonl", "fsck_live_status", "fsck_perflog", "fsck_store",
@@ -166,114 +166,18 @@ def fsck_perflog(path: str, repair: bool = False) -> Dict[str, Any]:
 
 # -- result store ----------------------------------------------------------------------
 def fsck_store(root: str, repair: bool = False) -> List[Dict[str, Any]]:
-    """Verify a :class:`CaseResultStore` tree; heal objects/pack/index."""
-    objects_dir = os.path.join(root, "objects")
-    pack_file = os.path.join(root, "pack.jsonl")
-    index_file = os.path.join(root, "index.json")
-    survivors: Dict[str, Dict[str, Any]] = {}  # key -> sealed doc
-    checked = bad = healed = 0
-    names = []
-    if os.path.isdir(objects_dir):
-        names = sorted(
-            n for n in os.listdir(objects_dir) if n.endswith(".json")
-        )
-    for name in names:
-        full = os.path.join(objects_dir, name)
-        checked += 1
-        try:
-            with open(full, encoding="utf-8") as fh:
-                sealed = json.load(fh)
-        except (OSError, ValueError):
-            sealed = None
-        if sealed is None or _verify_entry(sealed) is None:
-            bad += 1
-            if repair:
-                # a damaged object becomes a cache miss, never wrong data
-                try:
-                    os.unlink(full)
-                except OSError:
-                    pass
-                healed += 1
-            continue
-        survivors[name[: -len(".json")]] = sealed
-    reports = [_report("store-objects", objects_dir, checked, bad, healed)]
+    """Verify a :class:`CaseResultStore` tree; heal its pack and index.
 
-    # pack: a sequential replica of the objects; every line must carry a
-    # verifying sealed entry whose object survived
-    pack_checked = pack_bad = pack_healed = 0
-    if os.path.exists(pack_file):
-        try:
-            with open(pack_file, encoding="utf-8") as fh:
-                pack_lines = fh.read().splitlines()
-        except OSError:
-            pack_lines = []
-        for line in pack_lines:
-            pack_checked += 1
-            try:
-                doc = json.loads(line)
-                key = str(doc["key"])
-                ok = (_verify_entry(doc["entry"]) is not None
-                      and key in survivors)
-            except (ValueError, KeyError, TypeError):
-                ok = False
-            if not ok:
-                pack_bad += 1
-        if pack_bad and repair:
-            body = "".join(
-                json.dumps({"key": key, "entry": sealed},
-                           separators=(",", ":")) + "\n"
-                for key, sealed in survivors.items()
-            )
-            tmp = pack_file + ".tmp"
-            with open(tmp, "w", encoding="utf-8") as fh:
-                fh.write(body)
-            os.replace(tmp, pack_file)
-            pack_healed = pack_bad
-    reports.append(
-        _report("store-pack", pack_file, pack_checked, pack_bad,
-                pack_healed)
-    )
-
-    # index: advisory identity map; entries must point at live objects
-    idx_checked = idx_bad = idx_healed = 0
-    if os.path.exists(index_file):
-        try:
-            with open(index_file, encoding="utf-8") as fh:
-                index = json.load(fh)
-            if not isinstance(index, dict):
-                raise ValueError("index is not an object")
-        except (OSError, ValueError):
-            index = None
-        if index is None:
-            idx_checked = idx_bad = 1
-            if repair:
-                # rebuild from the surviving entries' own fingerprints
-                index = {
-                    str(sealed["fingerprint"]): key
-                    for key, sealed in survivors.items()
-                    if sealed.get("fingerprint")
-                }
-                idx_healed = 1
-        else:
-            idx_checked = len(index)
-            live = {
-                str(k): str(v) for k, v in index.items()
-                if str(v) in survivors
-            }
-            idx_bad = len(index) - len(live)
-            if idx_bad and repair:
-                index = live
-                idx_healed = idx_bad
-        if repair and idx_healed:
-            tmp = index_file + ".tmp"
-            with open(tmp, "w", encoding="utf-8") as fh:
-                json.dump(index, fh, sort_keys=True)
-            os.replace(tmp, index_file)
-    reports.append(
-        _report("store-index", index_file, idx_checked, idx_bad,
-                idx_healed)
-    )
-    return reports
+    A legacy ``objects/`` directory is ignored, as the store ignores it.
+    """
+    (checked, bad), (idx_checked, idx_bad) = \
+        CaseResultStore(root).verify(repair=repair)
+    return [
+        _report("store-pack", os.path.join(root, "pack.jsonl"), checked,
+                bad, bad if repair else 0),
+        _report("store-index", os.path.join(root, "index.json"),
+                idx_checked, idx_bad, idx_bad if repair else 0),
+    ]
 
 
 # -- target discovery ------------------------------------------------------------------
@@ -382,9 +286,9 @@ def main(argv: Optional[List[str]] = None) -> int:
                              "and the perflog tree it lives in)")
     parser.add_argument("--repair", action="store_true",
                         help="heal what verification finds: drop torn/"
-                             "rotten records, rebuild sidecars, excise "
-                             "damaged store objects and rebuild the "
-                             "pack (default: report only)")
+                             "rotten records, rebuild sidecars, drop "
+                             "damaged store pack lines and rebuild the "
+                             "index (default: report only)")
     parser.add_argument("-q", "--quiet", action="store_true",
                         help="print only artifacts with problems")
     args = parser.parse_args(argv)

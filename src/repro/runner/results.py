@@ -23,10 +23,10 @@ re-execute only the invalidated delta.  This module is that store:
   corrupted / evictions), published to the metrics registry under
   ``resultstore.*``.
 
-Durability follows the ``obs.jsonl`` philosophy: entries are written
-atomically (temp + rename), and a torn or corrupted entry is a cache
+Durability follows the ``obs.jsonl`` philosophy: entries are sealed
+lines of one append-only pack, and a torn or corrupted line is a cache
 *miss* plus a counter -- never a crash (the case simply re-executes and
-the entry is rewritten).
+its entry is appended again).
 """
 
 from __future__ import annotations
@@ -34,10 +34,11 @@ from __future__ import annotations
 import json
 import os
 import threading
-import time
 import zlib
+from collections import OrderedDict
 from typing import Any, Dict, List, Optional, Tuple, Union
 
+from repro.iofaults import FaultyIO
 from repro.runner.resilience import (
     benchmark_source_hash,
     case_fingerprint,
@@ -85,6 +86,76 @@ def _verify_entry(doc: Any) -> Optional[Dict[str, Any]]:
     if _entry_checksum(doc) != cs:
         return None
     return doc
+
+
+def _current(sealed: Any) -> Optional[Dict[str, Any]]:
+    """The verified entry of a sealed current-version entry, or ``None``."""
+    entry = _verify_entry(sealed)
+    if entry is None or entry.get("version") != ENTRY_VERSION:
+        return None
+    return entry
+
+
+def _pack_line(key: str, sealed: Dict[str, Any]) -> str:
+    """One pack line: a sealed entry filed under its key."""
+    return json.dumps({"key": key, "entry": sealed},
+                      separators=(",", ":")) + "\n"
+
+
+#: how every pack line starts: its key is readable without decoding
+_LINE_HEAD = '{"key":"'
+
+
+def _line_key(line: str) -> Optional[str]:
+    """The key a pack line is filed under (``None``: unattributable).
+
+    Read off the fixed line head, so a line whose entry is damaged is
+    still filed under its key -- and looked up as a corrupted miss.
+    """
+    if not line.startswith(_LINE_HEAD):
+        return None
+    end = line.find('"', len(_LINE_HEAD))
+    return line[len(_LINE_HEAD):end] if end > len(_LINE_HEAD) else None
+
+
+def _read_pack(path: str) -> Tuple[List[Tuple[str, Any]], int, bool]:
+    """``(filed, lines, torn)`` of one pack file.
+
+    *filed* holds ``(key, sealed entry)`` for every line attributable to
+    a key, in file order, with ``None`` for an entry that does not
+    decode; *lines* counts the file's lines and *torn* says whether the
+    last one is unterminated.
+    """
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.read().split("\n")
+    except OSError:
+        lines = [""]
+    torn = bool(lines[-1])
+    if not torn:
+        lines.pop()  # the final newline's empty remainder
+    docs: Optional[List[Any]] = None
+    try:
+        # one decoder call for the whole pack: several times faster than
+        # a per-line loop, and keys repeated across entries share one
+        # string in memory
+        docs = json.loads("[" + ",".join(lines) + "]")
+    except ValueError:
+        pass
+    if docs is None or len(docs) != len(lines):
+        docs = []
+        for line in lines:  # damage somewhere: decode line by line
+            try:
+                docs.append(json.loads(line))
+            except ValueError:
+                docs.append(None)
+    filed = []
+    for line, doc in zip(lines, docs):
+        key = _line_key(line)
+        if key is not None:
+            ok = isinstance(doc, dict) and doc.get("key") == key
+            filed.append((key, doc.get("entry") if ok else None))
+    return filed, len(lines), torn
 
 
 class ResultStoreStats:
@@ -242,36 +313,38 @@ def replay_result(case: Any, entry: Dict[str, Any]) -> Any:
 class CaseResultStore:
     """Persistent content-addressed store of whole-case results.
 
-    Layout under *root* (all writes atomic temp+rename)::
+    Layout under *root*::
 
-        objects/<composite-key>.json    one entry per result content
-        pack.jsonl                      sequential replica of entries
-        index.json                      case identity -> its latest key
+        pack.jsonl    one {"key", "entry"} line per put; last line wins
+        index.json    case identity -> its latest key
 
-    The per-key object files are canonical: atomic, individually
-    evictable, randomly addressable.  The **pack** is a git-packfile
-    analogue -- the same entries as ``{"key", "entry"}`` lines in one
-    append-only file -- loaded *once* per process so a warm campaign
-    pays one sequential read instead of one open+parse per case.  A
-    pack line is served only while its object file still exists (an
-    ``os.stat``), so eviction stays authoritative; keys missing from
-    the pack (a crash between object write and pack append, or entries
-    from a pre-pack store) fall back to the per-file path.
+    The **pack** is the one canonical copy of every entry: a put
+    appends a line, and a warm campaign loads the whole file with one
+    sequential read and one decoder call; each entry is verified when
+    its key is looked up.  A damaged or version-skewed line is a
+    ``corrupted`` miss; the re-executed case's put supersedes it.  A
+    line whose tail was torn by a crash is framed off by the next
+    append, never glued onto it.
 
     The identity index is what distinguishes *invalidated* (this case
     ran before, under different content -- an edit) from a plain miss
-    (never seen), the counter the ISSUE wants reconciled against
-    journal counts.  Both the index and the pack are maintained
-    **write-behind**: puts buffer in memory and :meth:`flush` persists
-    -- a handful of file writes per campaign instead of two per case,
-    which at 5k cases is most of the put cost.  Lookups touch the
-    entry's mtime so eviction (``max_entries``, oldest-mtime-first)
-    approximates LRU.
+    (never seen).  Both files are maintained **group-commit**: puts
+    buffer in memory and :meth:`flush` persists them (every
+    :attr:`INDEX_FLUSH_EVERY` puts and at campaign end), so a crash
+    loses at most the puts since the last commit -- cases that simply
+    re-execute on the next warm run.
+
+    ``max_entries`` caps the live keys, evicting oldest-first in pack
+    order; a hit moves its key to the young end.  Evictions reach the
+    file at the next compaction (when the pack holds more than
+    :attr:`PACK_SLACK` lines per live key); until then a reopened store
+    re-applies its own cap to the pack's order.  One writer per store
+    is assumed.
     """
 
-    #: write-behind safety valve: persist the identity index and the
-    #: buffered pack lines every this many puts even if the campaign
-    #: never reaches its final flush()
+    #: group commit: persist the buffered pack lines and the identity
+    #: index every this many puts even if the campaign never reaches its
+    #: final flush()
     INDEX_FLUSH_EVERY = 1024
 
     #: compact the pack (drop superseded/evicted lines) when it holds
@@ -284,34 +357,30 @@ class CaseResultStore:
         self.root = str(root)
         self.max_entries = max_entries
         self.stats = ResultStoreStats()
-        self._objects = os.path.join(self.root, "objects")
         self._index_file = os.path.join(self.root, "index.json")
         self._pack_file = os.path.join(self.root, "pack.jsonl")
-        os.makedirs(self._objects, exist_ok=True)
+        os.makedirs(self.root, exist_ok=True)
         #: fingerprint -> latest composite key (lazy-loaded)
         self._index: Optional[Dict[str, str]] = None
         self._index_dirty = 0
-        #: key -> entry, the pack's content (lazy-loaded, last-wins)
-        self._pack: Optional[Dict[str, Dict[str, Any]]] = None
+        #: key -> its last sealed entry (None: damaged), oldest first
+        self._pack: Optional[OrderedDict] = None
         #: pack lines buffered in memory until the next flush()
         self._pack_pending: List[str] = []
         #: lines currently in the pack file (maintained after load)
         self._pack_lines = 0
+        #: the pack file ends in an unterminated (torn) line
+        self._torn_tail = False
         self._lock = threading.Lock()
-        #: entry count, maintained incrementally after the initial scan
-        self._count = sum(
-            1 for name in os.listdir(self._objects)
-            if name.endswith(".json")
-        )
         # per-campaign key-component memos (system fingerprints and
         # package environments are invariant within one process run)
         self._system_keys: Dict[int, Tuple[Any, str]] = {}
         self._env_cache: Dict[str, Tuple[Any, Any]] = {}
-        #: optional FaultyIO shim the write paths are routed through
-        self._io: Optional[Any] = None
+        #: every write goes through this shim (unarmed: plain os calls)
+        self._io: Any = FaultyIO()
 
     def attach_io(self, io: Any) -> None:
-        """Route object/pack/index writes through a FaultyIO shim."""
+        """Route pack/index writes through an armed FaultyIO shim."""
         self._io = io
 
     # -- key computation -----------------------------------------------------
@@ -362,24 +431,7 @@ class CaseResultStore:
             config_key=config_key,
         )
 
-    # -- paths ---------------------------------------------------------------
-    def _entry_path(self, key: str) -> str:
-        return os.path.join(self._objects, f"{key}.json")
-
-    def _write_atomic(self, path: str, doc: Dict[str, Any],
-                      label: str = "store") -> None:
-        if self._io is not None:
-            # compact separators: entries are read back on every warm
-            # lookup, and parse time scales with the bytes
-            body = json.dumps(doc, separators=(",", ":")).encode("utf-8")
-            self._io.write_atomic(path, body, label, sync=False)
-            return
-        tmp = f"{path}.tmp"
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, separators=(",", ":"))
-        os.replace(tmp, path)
-
-    # -- identity index (write-behind) ---------------------------------------
+    # -- identity index -----------------------------------------------------
     def _load_index_locked(self) -> Dict[str, str]:
         if self._index is None:
             try:
@@ -396,92 +448,55 @@ class CaseResultStore:
 
     def _flush_index_locked(self) -> None:
         if self._index is not None and self._index_dirty:
-            self._write_atomic(self._index_file, self._index, label="index")
+            body = json.dumps(self._index, separators=(",", ":"))
+            self._io.write_atomic(self._index_file, body.encode("utf-8"),
+                                  "index", sync=False)
             self._index_dirty = 0
 
-    # -- pack (write-behind entry replica) -----------------------------------
-    def _load_pack_locked(self) -> Dict[str, Dict[str, Any]]:
+    # -- pack ----------------------------------------------------------------
+    def _load_pack_locked(self) -> OrderedDict:
         if self._pack is None:
-            pack: Dict[str, Dict[str, Any]] = {}
-            lines: List[str] = []
-            try:
-                with open(self._pack_file, encoding="utf-8") as fh:
-                    lines = fh.read().splitlines()
-            except OSError:
-                pass
-            docs: List[Any] = []
-            if lines:
-                try:
-                    # one decoder call for the whole pack (a clean file is
-                    # the common case and this is ~4x faster than a
-                    # per-line loop at campaign scale)
-                    docs = json.loads("[" + ",".join(lines) + "]")
-                except ValueError:
-                    # torn tail / stray line somewhere: fall back to the
-                    # tolerant per-line parse
-                    for line in lines:
-                        try:
-                            docs.append(json.loads(line))
-                        except ValueError:
-                            continue
-            for doc in docs:
-                try:
-                    pack[str(doc["key"])] = doc["entry"]
-                except (KeyError, TypeError):
-                    continue
+            filed, self._pack_lines, self._torn_tail = _read_pack(
+                self._pack_file)
+            pack: OrderedDict = OrderedDict()
+            for key, sealed in filed:
+                pack[key] = sealed
+                pack.move_to_end(key)  # the last line wins
             self._pack = pack
-            self._pack_lines = len(lines)
+            if self.max_entries is not None:
+                self._evict_locked()
         return self._pack
 
     def _flush_pack_locked(self) -> None:
         if not self._pack_pending:
             return
-        if self._io is not None:
-            self._io.append(
-                self._pack_file,
-                "".join(self._pack_pending).encode("utf-8"),
-                "pack",
-                sync=False,
-            )
-        else:
-            with open(self._pack_file, "a", encoding="utf-8") as fh:
-                fh.write("".join(self._pack_pending))
+        body = "".join(self._pack_pending)
+        if self._torn_tail:
+            body = "\n" + body  # frame the torn line off, never extend it
+        self._io.append(self._pack_file, body.encode("utf-8"), "store",
+                        sync=False)
+        self._torn_tail = False
         self._pack_lines += len(self._pack_pending)
         self._pack_pending = []
-        # compact when superseded/evicted lines dominate -- needs the
-        # pack in memory, so only bother once something loaded it
-        if self._pack is not None and self._pack_lines > max(
-            self.PACK_SLACK * len(self._pack), 16
-        ):
+        # compact when superseded/evicted lines dominate
+        if self._pack_lines > max(self.PACK_SLACK * len(self._pack), 16):
             self._compact_pack_locked()
 
     def _compact_pack_locked(self) -> None:
         pack = self._load_pack_locked()
-        live = {
-            key: entry for key, entry in pack.items()
-            if os.path.exists(self._entry_path(key))
-        }
-        body = "".join(
-            json.dumps({"key": key, "entry": entry},
-                       separators=(",", ":")) + "\n"
-            for key, entry in live.items()
-        )
-        if self._io is not None:
-            self._io.write_atomic(self._pack_file, body.encode("utf-8"),
-                                  "pack", sync=False)
-        else:
-            tmp = f"{self._pack_file}.tmp"
-            with open(tmp, "w", encoding="utf-8") as fh:
-                fh.write(body)
-            os.replace(tmp, self._pack_file)
-        self._pack = live
-        self._pack_lines = len(live)
+        for key in [k for k, sealed in pack.items() if sealed is None]:
+            del pack[key]  # a damaged line carries nothing to keep
+        body = "".join(_pack_line(k, sealed) for k, sealed in pack.items())
+        self._io.write_atomic(self._pack_file, body.encode("utf-8"),
+                              "store", sync=False)
+        self._pack_lines = len(pack)
+        self._torn_tail = False
 
     def flush(self) -> None:
-        """Persist the write-behind index and pack (end of campaign)."""
+        """Group commit: persist the buffered pack lines, then the index."""
         with self._lock:
-            self._flush_index_locked()
             self._flush_pack_locked()
+            self._flush_index_locked()
 
     # -- lookup / put --------------------------------------------------------
     def lookup(
@@ -493,85 +508,33 @@ class CaseResultStore:
     ) -> Optional[Dict[str, Any]]:
         """The stored entry for *key*, or ``None`` (a miss).
 
-        An unreadable or version-skewed entry is a tolerated miss
-        (``corrupted`` counter); an entry lacking an artifact this
-        campaign needs (perflog rows while perflogs are armed, trace
-        lines while tracing) is also a miss -- the case re-executes and
-        the rewritten entry carries the missing artifact.  On a miss,
-        *fingerprint* (when given) classifies it: an identity-index
-        entry pointing at a *different* key means the case was seen
-        before and an edit invalidated it.
-
-        Entries are served from the pack when it has them (one
-        sequential load for the whole campaign, validated against the
-        object file's existence so eviction is respected); otherwise
-        from the per-key object file.
+        A damaged or version-skewed pack line is a tolerated miss
+        (``corrupted`` counter) and leaves the live set; an entry
+        lacking an artifact this campaign needs (perflog rows while
+        perflogs are armed, trace lines while tracing) is also a miss --
+        the case re-executes and the rewritten entry carries the missing
+        artifact.  On a miss, *fingerprint* (when given) classifies it:
+        an identity-index entry pointing at a *different* key means the
+        case was seen before and an edit invalidated it.
         """
-        path = self._entry_path(key)
         with self._lock:
-            mtime: Optional[float] = None
-            entry = self._load_pack_locked().get(key)
-            if entry is not None:
-                try:
-                    mtime = os.stat(path).st_mtime
-                except OSError:
-                    # evicted (or never-landed) object: the pack line
-                    # is stale, the object files are canonical
-                    self._pack.pop(key, None)
-                    entry = None
-                if entry is not None and (
-                    not isinstance(entry, dict)
-                    or entry.get("version") != ENTRY_VERSION
-                ):
-                    entry = None  # skewed replica: fall back to the file
-                if entry is not None:
-                    # self-verification: a rotted pack line falls back to
-                    # the (independently sealed) object file
-                    entry = _verify_entry(entry)
-            if entry is None:
-                try:
-                    with open(path, encoding="utf-8") as fh:
-                        entry = json.load(fh)
-                    entry = _verify_entry(entry)
-                    if entry is None:
-                        raise ValueError("entry checksum mismatch")
-                    if entry.get("version") != ENTRY_VERSION:
-                        raise ValueError(
-                            f"entry version {entry.get('version')!r}"
-                        )
-                except FileNotFoundError:
-                    entry = None
-                except (OSError, ValueError):
-                    # torn/corrupted entry: tolerate as a miss, drop the
-                    # file so the re-executed case rewrites it cleanly
+            pack = self._load_pack_locked()
+            entry = None
+            if key in pack:
+                entry = _current(pack[key])
+                if entry is None:
                     self.stats.corrupted += 1
-                    entry = None
-                    try:
-                        os.unlink(path)
-                        self._count -= 1
-                    except OSError:
-                        pass
-            if entry is not None and (
-                (need_perflog and entry.get("perflog") is None)
-                or (need_spans and entry.get("trace") is None)
-            ):
-                entry = None  # incomplete for this campaign's needs
+                    del pack[key]
+                elif ((need_perflog and entry.get("perflog") is None)
+                      or (need_spans and entry.get("trace") is None)):
+                    entry = None  # incomplete for this campaign's needs
             if entry is None:
                 self.stats.misses += 1
                 if fingerprint:
                     self._note_invalidation(fingerprint, key)
                 return None
             self.stats.hits += 1
-            # LRU touch for mtime-ordered eviction.  A recently-touched
-            # entry (this campaign, or one earlier today) is already at
-            # the young end of the eviction order -- skipping its utime
-            # saves one syscall per hit without changing which entries
-            # an eviction pass would pick.
-            if mtime is None or time.time() - mtime > 3600.0:
-                try:
-                    os.utime(path)
-                except OSError:
-                    pass
+            pack.move_to_end(key)  # young end of the eviction order
             return entry
 
     def _note_invalidation(self, fingerprint: str, key: str) -> None:
@@ -581,58 +544,82 @@ class CaseResultStore:
             self.stats.invalidated += 1
 
     def put(self, key: str, entry: Dict[str, Any]) -> None:
-        """Persist one entry (atomic), update the index and pack, evict."""
-        path = self._entry_path(key)
+        """Buffer one entry's pack line, update the index, evict."""
         sealed = _seal_entry(entry)
+        line = _pack_line(key, sealed)
         with self._lock:
-            existed = os.path.exists(path)
-            self._write_atomic(path, sealed, label="store")
-            if not existed:
-                self._count += 1
+            pack = self._load_pack_locked()
+            pack[key] = sealed
+            pack.move_to_end(key)
+            self._pack_pending.append(line)
             self.stats.puts += 1
-            self._pack_pending.append(json.dumps(
-                {"key": key, "entry": sealed}, separators=(",", ":")
-            ) + "\n")
-            if self._pack is not None:
-                self._pack[key] = sealed
             fingerprint = entry.get("fingerprint")
             if fingerprint:
                 index = self._load_index_locked()
                 if index.get(fingerprint) != key:
                     index[fingerprint] = key
                     self._index_dirty += 1
-            if (self._index_dirty >= self.INDEX_FLUSH_EVERY
-                    or len(self._pack_pending) >= self.INDEX_FLUSH_EVERY):
-                self._flush_index_locked()
-                self._flush_pack_locked()
             if self.max_entries is not None:
                 self._evict_locked()
+            if (self._index_dirty >= self.INDEX_FLUSH_EVERY
+                    or len(self._pack_pending) >= self.INDEX_FLUSH_EVERY):
+                self._flush_pack_locked()
+                self._flush_index_locked()
+
+    def verify(self, repair: bool = False
+               ) -> Tuple[Tuple[int, int], Tuple[int, int]]:
+        """Check the files on disk: ``(checked, invalid)`` for the pack
+        and for the index (``repro-fsck``; call on a fresh store).
+
+        Every pack line is decoded and verified exactly as a lookup
+        would; every index entry must name a verified key.  *repair*
+        rewrites the pack with the last verified line per key, through
+        compaction, and rebuilds the index from those entries'
+        fingerprints.
+        """
+        filed, lines, _ = _read_pack(self._pack_file)
+        verified: OrderedDict = OrderedDict()  # key -> sealed entry
+        pack_bad = lines
+        for key, sealed in filed:
+            if _current(sealed) is not None:
+                verified[key] = sealed
+                verified.move_to_end(key)
+                pack_bad -= 1
+        index_checked = index_bad = 0
+        if os.path.exists(self._index_file):
+            try:
+                with open(self._index_file, encoding="utf-8") as fh:
+                    index = json.load(fh)
+                if not isinstance(index, dict):
+                    raise ValueError("index is not an object")
+                index_checked = len(index)
+                index_bad = sum(str(v) not in verified
+                                for v in index.values())
+            except (OSError, ValueError):
+                index_checked = index_bad = 1
+        if repair:
+            with self._lock:
+                if pack_bad:
+                    self._pack = verified
+                    self._compact_pack_locked()
+                if index_bad:
+                    self._index = {
+                        str(sealed["fingerprint"]): key
+                        for key, sealed in verified.items()
+                        if sealed.get("fingerprint")
+                    }
+                    self._index_dirty = 1
+                    self._flush_index_locked()
+        return (lines, pack_bad), (index_checked, index_bad)
 
     def _evict_locked(self) -> None:
-        if self._count <= self.max_entries:
-            return
-        aged: List[Tuple[float, str]] = []
-        for name in os.listdir(self._objects):
-            if not name.endswith(".json"):
-                continue
-            full = os.path.join(self._objects, name)
-            try:
-                aged.append((os.path.getmtime(full), full))
-            except OSError:
-                continue
-        aged.sort()
-        excess = len(aged) - self.max_entries
-        for _, full in aged[:excess]:
-            try:
-                os.unlink(full)
-                self.stats.evictions += 1
-            except OSError:
-                continue
-        self._count = min(self._count, self.max_entries)
+        while len(self._pack) > self.max_entries:
+            self._pack.popitem(last=False)
+            self.stats.evictions += 1
 
     def __len__(self) -> int:
         with self._lock:
-            return self._count
+            return len(self._load_pack_locked())
 
     def __repr__(self) -> str:
         return (

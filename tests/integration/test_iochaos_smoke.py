@@ -11,7 +11,7 @@ The storage-resilience tentpole's headline properties:
 * Under ``--durability strict`` the same storm fail-stops
   deterministically, naming the artifact that could not be persisted.
 * ``repro-fsck`` detects and heals 100% of injected artifact
-  corruption: torn tails, mid-file bit rot, rotten store objects.
+  corruption: torn tails, mid-file bit rot, a rotten store pack line.
 """
 
 import json
@@ -194,9 +194,10 @@ def test_fsck_heals_all_injected_corruption(tmp_path, capsys):
     flip_byte(trace)                    # mid-file bit rot
     log = _one_perflog(prefix)
     flip_byte(log)                      # rot inside a checksummed range
-    objects = sorted(os.listdir(os.path.join(store_root, "objects")))
-    flip_byte(os.path.join(store_root, "objects", objects[0]))
-    tear_tail(os.path.join(store_root, "pack.jsonl"), drop=5)
+    pack = os.path.join(store_root, "pack.jsonl")
+    with open(pack, encoding="utf-8") as fh:
+        entries = fh.read().splitlines()
+    flip_byte(pack, len(entries[0]) // 2)  # rot inside one sealed line
 
     targets = [prefix, journal, trace, store_root]
     assert fsck_main(targets) == 1          # check mode: damage reported
@@ -208,7 +209,7 @@ def test_fsck_heals_all_injected_corruption(tmp_path, capsys):
     assert read_jsonl(journal)
     assert read_jsonl(trace)
     reopened = CaseResultStore(store_root)
-    assert len(reopened) == len(objects) - 1  # rotten object became a miss
+    assert len(reopened) == len(entries) - 1  # rotten line became a miss
 
 
 def test_fsck_provenance_seeding(tmp_path, capsys):

@@ -155,6 +155,28 @@ class TestFaultyIOAppend:
         assert b"0123456789\n".startswith(data)
         assert io.unsynced_paths == []
 
+    def test_real_short_write_keeps_whole_lines_then_raises(
+        self, tmp_path, monkeypatch
+    ):
+        """A short ``os.write`` is an error, never a silently torn tail."""
+        import errno
+
+        path = str(tmp_path / "a.jsonl")
+        with open(path, "wb") as fh:
+            fh.write(b"intact\n")
+        real_write = os.write
+
+        def half_write(fd, data):
+            return real_write(fd, data[: len(data) // 2])
+
+        monkeypatch.setattr(os, "write", half_write)
+        with pytest.raises(OSError) as err:
+            FaultyIO().append(path, b"one\ntwo\nthree\n", "store")
+        monkeypatch.undo()
+        assert err.value.errno == errno.EIO
+        # 7 of 14 bytes landed ("one\ntwo"): the complete line survives
+        assert open(path, "rb").read() == b"intact\none\n"
+
     def test_injected_fault_is_oserror_with_errno(self, tmp_path):
         with pytest.raises(OSError) as err:
             _always("enospc").append(str(tmp_path / "x"), b"x\n", "perflog")

@@ -25,6 +25,7 @@ from hypothesis import strategies as st
 import repro
 from perfbench import probe
 from repro.faults import FaultPlan
+from repro.iofaults import flip_byte
 from repro.runner import resilience
 from repro.runner import sanity as sn
 from repro.runner.benchmark import RegressionTest, SpackTest
@@ -43,7 +44,7 @@ from repro.runner.resilience import (
     content_address,
     run_config_fingerprint,
 )
-from repro.runner.results import CaseResultStore
+from repro.runner.results import CaseResultStore, _seal_entry
 from repro.runner.watchdog import WatchdogSpec
 
 PINNED_TS = "2026-01-01T00:00:00"
@@ -584,52 +585,63 @@ def test_failed_results_replay_too(tmp_path):
 # store durability: corruption, eviction
 # --------------------------------------------------------------------------
 
+def _pack_path(store_dir):
+    return os.path.join(store_dir, "pack.jsonl")
+
+
+def _pack_lines(store_dir):
+    with open(_pack_path(store_dir), encoding="utf-8") as fh:
+        return fh.read().splitlines(keepends=True)
+
+
 def test_torn_entry_is_a_miss_not_a_crash(tmp_path):
     store_dir = str(tmp_path / "store")
     run(tmp_path, "cold", store_dir)
-    os.unlink(os.path.join(store_dir, "pack.jsonl"))  # force the file path
-    objects = os.path.join(store_dir, "objects")
-    victims = sorted(os.listdir(objects))
-    # one torn mid-write, one outright garbage
-    with open(os.path.join(objects, victims[0]), "w") as fh:
-        fh.write('{"version": 1, "record": {"stat')
-    with open(os.path.join(objects, victims[1]), "w") as fh:
-        fh.write("not json at all")
+    lines = _pack_lines(store_dir)
+    assert len(lines) == 6
+    # one torn mid-write, one whose entry is garbage past its key
+    lines[0] = lines[0][: len(lines[0]) // 2] + "\n"
+    lines[1] = lines[1][: lines[1].index('"entry":')] + \
+        '"entry":not json at all}\n'
+    with open(_pack_path(store_dir), "w", encoding="utf-8") as fh:
+        fh.write("".join(lines))
     _, warm = run(tmp_path, "warm", store_dir)
     assert warm.success
     assert len(warm.replayed) == 4
     assert warm.result_cache["corrupted"] == 2
     assert warm.result_cache["misses"] == 2
-    # the re-executed cases rewrote their entries: next run is all-warm
+    # the re-executed cases re-put their entries: next run is all-warm
     _, third = run(tmp_path, "third", store_dir)
     assert len(third.replayed) == 6
 
 
-def test_pack_is_a_redundant_replica(tmp_path):
-    """An intact pack line serves an entry whose object file was torn."""
+def test_rotten_pack_line_does_not_poison_its_neighbours(tmp_path):
+    """One flipped byte inside one line's entry costs that entry only."""
     store_dir = str(tmp_path / "store")
     run(tmp_path, "cold", store_dir)
-    objects = os.path.join(store_dir, "objects")
-    victim = sorted(os.listdir(objects))[0]
-    with open(os.path.join(objects, victim), "w") as fh:
-        fh.write('{"version": 1, "record": {"stat')  # torn object file
-    _, warm = run(tmp_path, "warm", store_dir)
-    assert warm.success
-    assert len(warm.replayed) == 6  # the pack still has the good bytes
-    assert warm.result_cache["corrupted"] == 0
-
-
-def test_pack_respects_eviction(tmp_path):
-    """A pack line whose object file is gone (evicted) is a miss."""
-    store_dir = str(tmp_path / "store")
-    run(tmp_path, "cold", store_dir)
-    objects = os.path.join(store_dir, "objects")
-    victim = sorted(os.listdir(objects))[0]
-    os.unlink(os.path.join(objects, victim))  # what eviction does
+    lines = _pack_lines(store_dir)
+    flip_byte(_pack_path(store_dir), len(lines[0]) + len(lines[1]) // 2)
     _, warm = run(tmp_path, "warm", store_dir)
     assert warm.success
     assert len(warm.replayed) == 5
-    assert warm.result_cache["misses"] == 1
+    assert warm.result_cache["corrupted"] == 1
+    _, third = run(tmp_path, "third", store_dir)
+    assert len(third.replayed) == 6
+
+
+def test_pack_respects_eviction(tmp_path):
+    """An evicted entry is a miss, in its process and after a reopen."""
+    store_dir = str(tmp_path / "store")
+    capped = CaseResultStore(store_dir, max_entries=5)
+    _, cold = run(tmp_path, "cold", capped)
+    assert cold.result_cache["evictions"] == 1
+    keys = [json.loads(line)["key"] for line in _pack_lines(store_dir)]
+    assert len(keys) == 6  # the eviction reaches the file at compaction
+    for store in (capped, CaseResultStore(store_dir, max_entries=5)):
+        assert len(store) == 5
+        assert store.lookup(keys[0]) is None  # the oldest put went
+        assert all(store.lookup(key) is not None for key in keys[1:])
+        assert store.stats.corrupted == 0
 
 
 def test_version_skew_is_a_miss(tmp_path):
@@ -641,16 +653,140 @@ def test_version_skew_is_a_miss(tmp_path):
 
 
 def test_eviction_is_oldest_first(tmp_path):
-    store = CaseResultStore(str(tmp_path / "store"), max_entries=2)
-    for i, key in enumerate(["a" * 64, "b" * 64, "c" * 64]):
-        store.put(key, {"version": 1, "fingerprint": f"fp{i}"})
-        path = store._entry_path(key)
-        os.utime(path, (1000.0 + i, 1000.0 + i))
-        store._evict_locked()
-    assert store.stats.evictions >= 1
-    assert len(store) <= 2
-    assert not os.path.exists(store._entry_path("a" * 64))
-    assert os.path.exists(store._entry_path("c" * 64))
+    """Pack-order eviction: the oldest key goes, a hit protects its key."""
+    root = str(tmp_path / "store")
+    store = CaseResultStore(root, max_entries=2)
+    a, b, c = "a" * 64, "b" * 64, "c" * 64
+    store.put(a, {"version": 1, "fingerprint": "fp0"})
+    store.put(b, {"version": 1, "fingerprint": "fp1"})
+    assert store.lookup(a) is not None  # a moves to the young end
+    store.put(c, {"version": 1, "fingerprint": "fp2"})
+    assert store.stats.evictions == 1
+    assert len(store) == 2
+    assert store.lookup(b) is None
+    assert store.lookup(a) is not None and store.lookup(c) is not None
+    # superseding puts pile up lines until compaction writes the result
+    for _ in range(20):
+        store.put(c, {"version": 1, "fingerprint": "fp2"})
+    store.flush()
+    assert len(_pack_lines(root)) == 2
+    reopened = CaseResultStore(root)
+    assert len(reopened) == 2
+    assert reopened.lookup(b) is None
+    assert reopened.lookup(a) is not None
+    # a reopened store ages each key by its last line in the pack
+    reput = str(tmp_path / "reput")
+    store = CaseResultStore(reput)
+    for key in (a, b, a):
+        store.put(key, {"version": 1, "fingerprint": key[:3]})
+    store.flush()
+    capped = CaseResultStore(reput, max_entries=1)
+    assert capped.lookup(b) is None and capped.lookup(a) is not None
+
+
+def test_pack_lines_are_byte_identical_to_the_legacy_format(tmp_path):
+    """put writes the line json.dumps({"key", "entry"}) always wrote, so
+    a store filled by an earlier build replays in full."""
+    store_dir = str(tmp_path / "store")
+    run(tmp_path, "cold", store_dir)
+    odd = {"version": 1, "fingerprint": "fp", "stdout": "na\u00efve \u2713\n",
+           "floats": [0.1, 1e300, -0.0, 5e-324], "nested": {"z": 1, "a": 2}}
+    docs = [json.loads(line) for line in _pack_lines(store_dir)]
+    docs.append({"key": "f" * 64, "entry": _seal_entry(odd)})
+    fresh = str(tmp_path / "fresh")
+    store = CaseResultStore(fresh)
+    for doc in docs:
+        entry = dict(doc["entry"])
+        entry.pop("cs")
+        store.put(doc["key"], entry)
+    store.flush()
+    assert _pack_lines(fresh) == [
+        json.dumps({"key": doc["key"], "entry": doc["entry"]},
+                   separators=(",", ":")) + "\n"
+        for doc in docs
+    ]
+
+
+def _record_opens(monkeypatch):
+    """Every path opened through builtins.open or os.open, with how."""
+    import builtins
+
+    opened = []
+    real_open, real_os_open = builtins.open, os.open
+
+    def spy_open(file, mode="r", *args, **kwargs):
+        opened.append((str(file), mode))
+        return real_open(file, mode, *args, **kwargs)
+
+    def spy_os_open(path, flags, *args, **kwargs):
+        opened.append((str(path), "w" if flags & os.O_CREAT else "r"))
+        return real_os_open(path, flags, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", spy_open)
+    monkeypatch.setattr(os, "open", spy_os_open)
+    return opened
+
+
+def test_store_in_the_legacy_layout_replays_without_opening_objects(
+    tmp_path, monkeypatch
+):
+    """A store whose builder also wrote objects/<key>.json stays fully
+    warm; those files are ignored, never opened."""
+    store_dir = str(tmp_path / "store")
+    run(tmp_path, "cold", store_dir)
+    objects = os.path.join(store_dir, "objects")
+    os.makedirs(objects)
+    for line in _pack_lines(store_dir):
+        doc = json.loads(line)
+        with open(os.path.join(objects, doc["key"] + ".json"), "w",
+                  encoding="utf-8") as fh:
+            json.dump(doc["entry"], fh, separators=(",", ":"))
+    opened = _record_opens(monkeypatch)
+    _, warm = run(tmp_path, "warm", store_dir)
+    monkeypatch.undo()
+    assert len(warm.replayed) == 6
+    assert warm.result_cache["corrupted"] == 0
+    assert opened  # the spy saw the campaign's own files
+    assert not [path for path, _ in opened if "objects" in path]
+
+
+class Wide(RegressionTest):
+    """A 40-point sweep for the store's file-count guard."""
+
+    point = parameter(list(range(40)))
+
+    def program(self, ctx):
+        return f"wide {self.point}: {self.point + 1.0}\n", 1.0
+
+    def check_sanity(self, stdout):
+        sn.assert_found(r"wide", stdout)
+
+    def extract_performance(self, stdout):
+        v = sn.extractsingle(r": ([\d.]+)", stdout, 1, float)
+        return {"value": (v, "units")}
+
+
+@pytest.mark.parametrize("classes", [(Alpha,), (Alpha, Beta),
+                                     (Alpha, Beta, Wide)])
+def test_store_creates_only_pack_and_index(tmp_path, monkeypatch, classes):
+    """No per-case file, at any case count -- through group commits,
+    eviction, compaction and an edit's re-puts."""
+    store_dir = str(tmp_path / "store")
+    monkeypatch.setattr(CaseResultStore, "INDEX_FLUSH_EVERY", 4)
+    opened = _record_opens(monkeypatch)
+    run(tmp_path, "cold", CaseResultStore(store_dir, max_entries=8),
+        classes=classes)
+    edit_beta("r1")
+    run(tmp_path, "warm", CaseResultStore(store_dir), classes=classes)
+    monkeypatch.undo()
+    created = {
+        os.path.relpath(path, store_dir) for path, mode in opened
+        if path.startswith(store_dir) and mode != "r"
+    }
+    assert created <= {"pack.jsonl", "index.json",
+                       "pack.jsonl.tmp", "index.json.tmp"}
+    assert "pack.jsonl" in created
+    assert sorted(os.listdir(store_dir)) == ["index.json", "pack.jsonl"]
 
 
 def test_missing_artifacts_force_reexecution(tmp_path):
